@@ -10,9 +10,8 @@ ln f* = -1/t^2 is negative everywhere.
 
 import warnings
 
-from mulcalc import (FamilySpec, HypothesisWarning, Interval, MBound,
-                     hh_check, make_model, midpoint_bound, midpoint_bound_M,
-                     trapezoid_bound)
+from mulcalc import (FamilySpec, HypothesisWarning, Interval, MBound, Probe,
+                     make_model, run_checks)
 
 
 def show(rep):
@@ -23,33 +22,31 @@ def show(rep):
 unit = Interval(0.0, 1.0)
 f = make_model(FamilySpec("exp_power", (2.0,), unit))
 
+# every statement is one row of the check table; run_checks goes through
+# them in order, all reading one Probe (one mean, one set of ln f* values)
 print("exp(t^2) on [0,1], ln f* = 2t >= 0, everything holds:")
-left, right = hh_check(f, unit)
-show(left)
-show(right)
-show(midpoint_bound(f, unit))
-show(trapezoid_bound(f, unit))
+for rep in run_checks(Probe(f, unit)):
+    show(rep)
 
 iv = Interval(1.0, 2.0)
 g = make_model(FamilySpec("exp_recip", (), iv))
+probe = Probe(g, iv)
 print("\nexp(1/t) on [1,2], ln f* = -1/t^2 < 0:")
 with warnings.catch_warnings():
     # the hypothesis advisory fires here by design; silence it for display
     warnings.simplefilter("ignore", HypothesisWarning)
-    show(midpoint_bound(g, iv))                    # strict: fails
-    show(midpoint_bound(g, iv, mode="robust"))     # robust: holds
-    show(trapezoid_bound(g, iv))
-    show(trapezoid_bound(g, iv, mode="robust"))
+    for mode in ("strict", "robust"):     # strict fails, robust holds
+        for rep in run_checks(probe, ("midpoint", "trapezoid"), mode):
+            show(rep)
 
-    # uniform-bound form.  In robust mode the tightest valid M has
+    # uniform-bound variant.  In robust mode the tightest valid M has
     # ln M = sup |ln f*| = 1 (at t=1), giving rhs = 1/4.
     print("\nuniform-bound variant with explicit ln M = 1:")
-    show(midpoint_bound_M(g, iv, m=MBound(1.0), mode="robust"))
+    for rep in run_checks(probe, ("midpoint_m",), "robust", MBound(1.0)):
+        show(rep)
 
 # an undersized M is refused rather than silently reported
 try:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", HypothesisWarning)
-        midpoint_bound_M(g, iv, m=MBound(0.5), mode="robust")
+    run_checks(probe, ("midpoint_m",), "robust", MBound(0.5), check_hypothesis=False)
 except Exception as exc:
     print("\nundersized M rejected:", exc)

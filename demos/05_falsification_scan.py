@@ -9,34 +9,30 @@ can be rerun bit-identically on its own.
 The `mulcalc scan` subcommand is the same loop with jsonl/csv output.
 """
 
-from mulcalc import (GeneratorParams, Interval, hh_check, midpoint_bound,
-                     random_star_convex, trapezoid_bound)
+from mulcalc import (GeneratorParams, Interval, Probe, random_star_convex,
+                     run_checks)
 from mulcalc.cli import trial_seed
 
 import numpy as np
 
 
-def draw_interval(rng):
+def trial(seed, nonneg):
+    """The interval and every bound report of one trial, from its seed."""
+    iv_ss, model_ss = np.random.SeedSequence(seed).spawn(2)
+    rng = np.random.default_rng(iv_ss)
     a = rng.uniform(0.0, 2.5)
-    return Interval(a, a + rng.uniform(0.25, min(2.0, 3.0 - a)))
+    iv = Interval(a, a + rng.uniform(0.25, min(2.0, 3.0 - a)))
+    model_seed = int(model_ss.generate_state(1, np.uint64)[0])
+    model = random_star_convex(GeneratorParams(seed=model_seed, nonneg_star=nonneg), iv)
+    return iv, run_checks(Probe(model, iv), check_hypothesis=False)
 
 
 def run(master_seed, trials, nonneg):
     hits = []
     for i in range(trials):
         seed = trial_seed(master_seed, i)
-        ss = np.random.SeedSequence(seed)
-        iv_ss, model_ss = ss.spawn(2)
-        iv = draw_interval(np.random.default_rng(iv_ss))
-        model_seed = int(model_ss.generate_state(1, np.uint64)[0])
-        model = random_star_convex(
-            GeneratorParams(seed=model_seed, nonneg_star=nonneg), iv)
-        reps = list(hh_check(model, iv, check_hypothesis=False))
-        reps.append(midpoint_bound(model, iv, check_hypothesis=False))
-        reps.append(trapezoid_bound(model, iv, check_hypothesis=False))
-        for rep in reps:
-            if not rep.holds:
-                hits.append((seed, iv, rep))
+        iv, reps = trial(seed, nonneg)
+        hits.extend((seed, iv, rep) for rep in reps if not rep.holds)
     return hits
 
 
@@ -53,15 +49,7 @@ for seed, iv, rep in hits[:3]:
 if hits:
     # replay the first hit standalone from its seed alone
     seed, iv, rep = hits[0]
-    ss = np.random.SeedSequence(seed)
-    iv_ss, model_ss = ss.spawn(2)
-    iv2 = draw_interval(np.random.default_rng(iv_ss))
-    model = random_star_convex(
-        GeneratorParams(seed=int(model_ss.generate_state(1, np.uint64)[0]),
-                        nonneg_star=False), iv2)
-    reps = list(hh_check(model, iv2, check_hypothesis=False))
-    reps.append(midpoint_bound(model, iv2, check_hypothesis=False))
-    reps.append(trapezoid_bound(model, iv2, check_hypothesis=False))
+    iv2, reps = trial(seed, nonneg=False)
     rep2 = next(r for r in reps if r.name == rep.name)
     print("\nreplay of seed %d:" % seed)
     print("  interval identical:", (iv2.a, iv2.b) == (iv.a, iv.b))

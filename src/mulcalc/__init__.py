@@ -8,11 +8,11 @@ checkers with strict/robust modes, special-means checks, and a seeded
 falsification CLI (`mulcalc`).
 """
 
-from .bounds import (BoundReport, MBound, StarEndpointData, grid_sup_m_bound,
-                     hh_check, midpoint_bound, midpoint_bound_M,
-                     midpoint_bound_geo, star_endpoints, trapezoid_bound,
-                     trapezoid_bound_M, validate_m_bound)
-from .core import (FunctionModel, LogValue, check_derivative_consistency,
+from .bounds import (CHECKS, BoundReport, MBound, grid_sup_m_bound, hh_check,
+                     midpoint_bound, midpoint_bound_M, midpoint_bound_geo,
+                     run_checks, trapezoid_bound, trapezoid_bound_M,
+                     validate_m_bound)
+from .core import (FunctionModel, LogValue, Probe, check_derivative_consistency,
                    combine, geometric_mean_log, mean_log, mul_derivative_log,
                    mul_integral_log, oriented_integral_log, star_values)
 from .errors import (ConsistencyError, DomainError, HypothesisWarning,
@@ -30,10 +30,10 @@ from .quadrature import (QuadratureConfig, QuadratureResult,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "MBound", "StarEndpointData", "grid_sup_m_bound",
+    "CHECKS", "BoundReport", "MBound", "grid_sup_m_bound",
     "hh_check", "midpoint_bound", "midpoint_bound_M", "midpoint_bound_geo",
-    "star_endpoints", "trapezoid_bound", "trapezoid_bound_M", "validate_m_bound",
-    "FunctionModel", "LogValue", "check_derivative_consistency", "combine",
+    "run_checks", "trapezoid_bound", "trapezoid_bound_M", "validate_m_bound",
+    "FunctionModel", "LogValue", "Probe", "check_derivative_consistency", "combine",
     "geometric_mean_log", "mean_log", "mul_derivative_log", "mul_integral_log",
     "oriented_integral_log", "star_values",
     "ConsistencyError", "DomainError", "HypothesisWarning", "MBoundViolation",

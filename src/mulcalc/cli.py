@@ -17,28 +17,29 @@ flags.
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 from typing import Optional, Tuple
 
 import numpy as np
 
-from . import bounds as bounds_mod
-from .bounds import MBound
+from .bounds import CHECK_NAMES, CHECKS, MODES, MBound, run_checks
+from .core import Probe
 from .errors import ConsistencyError, DomainError, MBoundViolation, NumericalFailure
-from .functions import FamilySpec, GeneratorParams, make_model, random_star_convex
-from .identities import (DEFAULT_IDENTITY_TOL, midpoint_identity, parts_identity,
-                         substitution_identity, trapezoid_identity)
+from .functions import FamilySpec, make_model
+from .identities import (DEFAULT_IDENTITY_TOL, midpoint_identity, midpoint_identity_on,
+                         parts_identity, substitution_identity, trapezoid_identity,
+                         trapezoid_identity_on)
 from .interval import Interval
 from .means import MeanPair, prop41_check, prop42_check
 from .quadrature import QuadratureConfig
 
 QUAD_TOL_ENV = "MULCALC_QUAD_TOL"
-
-BOUND_CHECKS = ("hh", "midpoint", "midpoint_m", "midpoint_geo", "trapezoid", "trapezoid_m")
 
 # fixed CSV column order for scan records
 CSV_COLUMNS = ("trial_index", "seed", "family", "a", "b", "check", "mode",
@@ -62,7 +63,7 @@ class RunConfig:
     timing: bool
 
     def __post_init__(self):
-        if self.mode not in bounds_mod.MODES:
+        if self.mode not in MODES:
             raise ValueError("mode must be strict or robust, got %r" % (self.mode,))
         if self.fmt not in ("jsonl", "csv"):
             raise ValueError("format must be jsonl or csv, got %r" % (self.fmt,))
@@ -81,9 +82,8 @@ class ScanRecord:
     seed: int
     family: FamilySpec
     interval: Interval
-    identity_residuals: Tuple[float, float]
+    identities: Tuple  # the midpoint and trapezoid IdentityReports
     checks: Tuple
-    wall_time_ms: float  # never serialized into the record stream
 
     def to_dict(self):
         return {
@@ -91,7 +91,7 @@ class ScanRecord:
             "seed": self.seed,
             "family": self.family.to_dict(),
             "interval": [self.interval.a, self.interval.b],
-            "identity_residuals": list(self.identity_residuals),
+            "identity_residuals": [rep.residual for rep in self.identities],
             "checks": [c.to_dict() for c in self.checks],
         }
 
@@ -256,25 +256,9 @@ def cmd_verify(args):
     quad = resolve_quad_config(args, cfg)
     mode = _resolve(args.mode, cfg, "mode", "strict")
     spec = family_from_args(args)
-    model = make_model(spec)
-    iv = spec.domain
     m = None if args.m_log is None else MBound(m_log=args.m_log)
-
-    wanted = BOUND_CHECKS if args.check == "all" else (args.check,)
-    reports = []
-    for check in wanted:
-        if check == "hh":
-            reports.extend(bounds_mod.hh_check(model, iv, quad, mode=mode))
-        elif check == "midpoint":
-            reports.append(bounds_mod.midpoint_bound(model, iv, quad, mode=mode))
-        elif check == "midpoint_m":
-            reports.append(bounds_mod.midpoint_bound_M(model, iv, quad, m=m, mode=mode))
-        elif check == "midpoint_geo":
-            reports.append(bounds_mod.midpoint_bound_geo(model, iv, quad, mode=mode))
-        elif check == "trapezoid":
-            reports.append(bounds_mod.trapezoid_bound(model, iv, quad, mode=mode))
-        else:
-            reports.append(bounds_mod.trapezoid_bound_M(model, iv, quad, m=m, mode=mode))
+    checks = CHECK_NAMES if args.check == "all" else (args.check,)
+    reports = run_checks(Probe(make_model(spec), spec.domain, quad), checks, mode, m)
     for rep in reports:
         _emit(sys.stdout, _json_line(rep.to_dict()))
     return 0 if all(r.holds for r in reports) else 1
@@ -334,10 +318,10 @@ def trial_seed(master_seed, index):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def run_trial(seed, run):
+def run_trial(seed, run, index=0):
     """One falsification trial: draw an interval inside [0, 3], draw a
-    model on it, run both identity checks and all six bound checks."""
-    t0 = time.perf_counter()
+    model on it, run both identity checks and every bound check, all
+    reading one Probe."""
     ss = np.random.SeedSequence(seed)
     iv_ss, model_ss = ss.spawn(2)
     rng = np.random.default_rng(iv_ss)
@@ -348,31 +332,19 @@ def run_trial(seed, run):
     spec = FamilySpec(kind="random_star_convex",
                       params=(model_seed, run.n_hinges, int(run.nonneg_star)),
                       domain=iv)
-    model = random_star_convex(GeneratorParams(seed=model_seed, n_hinges=run.n_hinges,
-                                               nonneg_star=run.nonneg_star), iv)
-
-    quad, mode = run.quad, run.mode
-    id_mid = midpoint_identity(model, iv, quad)
-    id_trap = trapezoid_identity(model, iv, quad)
-    checks = list(bounds_mod.hh_check(model, iv, quad, mode=mode, check_hypothesis=False))
-    checks.append(bounds_mod.midpoint_bound(model, iv, quad, mode=mode, check_hypothesis=False))
-    checks.append(bounds_mod.midpoint_bound_M(model, iv, quad, mode=mode, check_hypothesis=False))
-    checks.append(bounds_mod.midpoint_bound_geo(model, iv, quad, mode=mode, check_hypothesis=False))
-    checks.append(bounds_mod.trapezoid_bound(model, iv, quad, mode=mode, check_hypothesis=False))
-    checks.append(bounds_mod.trapezoid_bound_M(model, iv, quad, mode=mode, check_hypothesis=False))
-    ms = 1000.0 * (time.perf_counter() - t0)
-    return ScanRecord(trial_index=0, seed=seed, family=spec, interval=iv,
-                      identity_residuals=(id_mid.residual, id_trap.residual),
-                      checks=tuple(checks), wall_time_ms=ms), (id_mid, id_trap)
+    probe = Probe(make_model(spec), iv, run.quad)
+    return ScanRecord(trial_index=index, seed=seed, family=spec, interval=iv,
+                      identities=(midpoint_identity_on(probe), trapezoid_identity_on(probe)),
+                      checks=tuple(run_checks(probe, mode=run.mode, check_hypothesis=False)))
 
 
-def _record_rows(record, identities):
+def _record_rows(record):
     """CSV rows for one record, identities first then bound checks."""
     fam = json.dumps({"kind": record.family.kind, "params": list(record.family.params)},
                      separators=(",", ":"))
     base = [record.trial_index, record.seed, fam, record.interval.a, record.interval.b]
     rows = []
-    for rep in identities:
+    for rep in record.identities:
         rows.append(base + ["%s_identity" % rep.identity, "", rep.lhs_log, rep.rhs_log,
                             rep.tolerance - rep.residual, rep.holds])
     for rep in record.checks:
@@ -412,27 +384,18 @@ def cmd_scan(args):
 
     t0 = time.perf_counter()
     identity_fail = {"midpoint": 0, "trapezoid": 0}
-    bound_fail = {"hh_left": 0, "hh_right": 0, "midpoint": 0, "midpoint_m": 0,
-                  "midpoint_geo": 0, "trapezoid": 0, "trapezoid_m": 0}
+    bound_fail = dict.fromkeys((row.name for row in CHECKS), 0)
     violating_trials = 0
     try:
         for i, seed in enumerate(seeds):
-            record, identities = run_trial(seed, run)
-            record = dataclasses.replace(record, trial_index=i)
-            bad = False
-            for rep in identities:
-                if not rep.holds:
-                    identity_fail[rep.identity] += 1
-                    bad = True
+            record = run_trial(seed, run, i)
+            for rep in record.identities:
+                identity_fail[rep.identity] += not rep.holds
             for rep in record.checks:
-                if not rep.holds:
-                    bound_fail[rep.name] += 1
-                    bad = True
-            if bad:
-                violating_trials += 1
+                bound_fail[rep.name] += not rep.holds
+            violating_trials += not all(rep.holds for rep in record.identities + record.checks)
             if writer is not None:
-                for row in _record_rows(record, identities):
-                    writer.writerow(row)
+                writer.writerows(_record_rows(record))
                 out_stream.flush()
             else:
                 _emit(out_stream, _json_line(record.to_dict()))
@@ -486,7 +449,7 @@ def build_parser():
 
     p_verify = sub.add_parser("verify", parents=[common, fn_flags],
                               help="run inequality checks on one model")
-    p_verify.add_argument("--check", choices=list(BOUND_CHECKS) + ["all"], default="all")
+    p_verify.add_argument("--check", choices=list(CHECK_NAMES) + ["all"], default="all")
     p_verify.add_argument("--mode", choices=["strict", "robust"])
     p_verify.add_argument("--m-log", type=float,
                           help="log of the uniform bound M; default grid supremum")
@@ -526,10 +489,29 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The argparse tree, built once per process."""
+    return build_parser()
+
+
+def _join_negative_values(argv):
+    """Glue a value such as -9.0e-05 or -0.5,1 to the flag before it:
+    argparse reads a separate token of that form as an unknown flag."""
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(_join_negative_values(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -13,6 +13,7 @@ nothing overflows no matter how violently f itself grows.
 """
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Optional, Tuple
 
@@ -165,14 +166,7 @@ def mul_integral_log(model, iv, quad=None):
     if not model.domain.contains_interval(iv):
         raise DomainError("interval [%r, %r] not inside model domain [%r, %r]"
                           % (iv.a, iv.b, model.domain.a, model.domain.b))
-    if quad is None:
-        quad = QuadratureConfig()
-    res = integrate(model.ln_f, iv, quad, breakpoints=model.breakpoints)
-    if not res.converged:
-        raise NumericalFailure("quadrature did not converge within budget "
-                               "(estimate %r, error estimate %r)" % (res.value, res.error_estimate),
-                               estimate=res.value, error_estimate=res.error_estimate)
-    return res.value
+    return integrate(model.ln_f, iv, quad, breakpoints=model.breakpoints).checked_value()
 
 
 def oriented_integral_log(model, a, b, quad=None):
@@ -209,6 +203,48 @@ def mean_log(model, iv, quad=None):
         raise ConsistencyError("quadrature mean %r vs analytic mean %r differ by %r (> %r) for %s"
                                % (numeric, exact, abs(numeric - exact), slack, model.label or "model"))
     return exact
+
+
+STAR_GRID_N = 257
+
+
+class Probe:
+    """What the inequality checks and the midpoint/trapezoid identities read
+    about one model on one interval, each computed on first use and at most
+    once: the log integral mean (through mean_log, so its cross-check
+    runs), ln f and ln f* at a, m and b, and ln f* on a grid for M."""
+
+    def __init__(self, model, iv, quad=None, grid_n=STAR_GRID_N):
+        self.model, self.iv, self.quad, self.grid_n = model, iv, quad, grid_n
+
+    @functools.cached_property
+    def mean(self):
+        return mean_log(self.model, self.iv, self.quad)
+
+    @functools.cached_property
+    def ln_f_ends(self):
+        """ln f at a, m and b, one scalar call each."""
+        return tuple(float(self.model.ln_f(t)) for t in (self.iv.a, self.iv.midpoint, self.iv.b))
+
+    @property
+    def ln_g_ab(self):
+        """log of G(f(a), f(b))."""
+        return 0.5 * (self.ln_f_ends[0] + self.ln_f_ends[2])
+
+    @functools.cached_property
+    def star_ends(self):
+        """ln f* at a, m and b; ValueError unless all are finite."""
+        iv = self.iv
+        ends = tuple(float(v) for v in star_values(self.model, np.array([iv.a, iv.midpoint, iv.b])))
+        if not all(math.isfinite(v) for v in ends):
+            raise ValueError("ln f* at (a, m, b) is not finite: %r" % (ends,))
+        return ends
+
+    @functools.cached_property
+    def star_grid(self):
+        """(points, ln f* at the points), grid_n points over the interval."""
+        ts = np.linspace(self.iv.a, self.iv.b, self.grid_n)
+        return ts, np.asarray(star_values(self.model, ts), dtype=float)
 
 
 def geometric_mean_log(x_log, y_log):

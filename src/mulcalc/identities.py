@@ -4,16 +4,18 @@ Each checker evaluates both sides of an identity in log-domain and reports
 |lhs_log - rhs_log| against a tolerance.  These are equalities, not bounds:
 they hold for any admissible model, so a residual above tolerance means a
 kernel, quadrature, or algebra bug rather than a mathematical surprise.
+A quadrature that runs out of budget raises NumericalFailure instead of
+reporting a residual.
 """
 
 import dataclasses
 
 import numpy as np
 
-from .core import mean_log, star_values
+from .core import Probe, star_values
 from .errors import DomainError
 from .interval import Interval
-from .quadrature import QuadratureConfig, integrate
+from .quadrature import integrate
 
 DEFAULT_IDENTITY_TOL = 1e-8
 
@@ -61,17 +63,20 @@ def midpoint_identity(model, iv, quad=None, tolerance=DEFAULT_IDENTITY_TOL):
     weighted integrals of ln f* over the two half-intervals, pulled back to
     [0, 1] with weights t and t-1 respectively.
     """
-    _require_inside(model, iv)
-    if quad is None:
-        quad = QuadratureConfig()
-    a, b, m = iv.a, iv.b, iv.midpoint
-    lhs = float(model.ln_f(m)) - mean_log(model, iv, quad)
+    return midpoint_identity_on(Probe(model, iv, quad), tolerance)
 
+
+def midpoint_identity_on(probe, tolerance=DEFAULT_IDENTITY_TOL):
+    """midpoint_identity with its lhs read from a shared core.Probe."""
+    model, iv, quad = probe.model, probe.iv, probe.quad
+    _require_inside(model, iv)
+    a, b, m = iv.a, iv.b, iv.midpoint
+    lhs = probe.ln_f_ends[1] - probe.mean
     left = integrate(lambda t: t * star_values(model, a + t * (m - a)),
-                     _UNIT, quad, breakpoints=_mapped_breakpoints(model, a, m))
+                     _UNIT, quad, breakpoints=_mapped_breakpoints(model, a, m)).checked_value()
     right = integrate(lambda t: (t - 1.0) * star_values(model, m + t * (b - m)),
-                      _UNIT, quad, breakpoints=_mapped_breakpoints(model, m, b))
-    rhs = 0.25 * iv.length * (left.value + right.value)
+                      _UNIT, quad, breakpoints=_mapped_breakpoints(model, m, b)).checked_value()
+    rhs = 0.25 * iv.length * (left + right)
     return _report("midpoint", lhs, rhs, tolerance)
 
 
@@ -81,14 +86,18 @@ def trapezoid_identity(model, iv, quad=None, tolerance=DEFAULT_IDENTITY_TOL):
     lhs: log of G(f(a), f(b)) minus the log integral mean.  rhs: (b-a)/2
     times the integral of (2t-1) ln f* along the chord.
     """
+    return trapezoid_identity_on(Probe(model, iv, quad), tolerance)
+
+
+def trapezoid_identity_on(probe, tolerance=DEFAULT_IDENTITY_TOL):
+    """trapezoid_identity with its lhs read from a shared core.Probe."""
+    model, iv, quad = probe.model, probe.iv, probe.quad
     _require_inside(model, iv)
-    if quad is None:
-        quad = QuadratureConfig()
     a, b = iv.a, iv.b
-    lhs = 0.5 * (float(model.ln_f(a)) + float(model.ln_f(b))) - mean_log(model, iv, quad)
-    res = integrate(lambda t: (2.0 * t - 1.0) * star_values(model, a + t * (b - a)),
-                    _UNIT, quad, breakpoints=_mapped_breakpoints(model, a, b))
-    rhs = 0.5 * iv.length * res.value
+    lhs = probe.ln_g_ab - probe.mean
+    chord = integrate(lambda t: (2.0 * t - 1.0) * star_values(model, a + t * (b - a)),
+                      _UNIT, quad, breakpoints=_mapped_breakpoints(model, a, b)).checked_value()
+    rhs = 0.5 * iv.length * chord
     return _report("trapezoid", lhs, rhs, tolerance)
 
 
@@ -100,15 +109,13 @@ def parts_identity(model, g, g_prime, iv, quad=None, tolerance=DEFAULT_IDENTITY_
     g and g_prime must accept numpy arrays.
     """
     _require_inside(model, iv)
-    if quad is None:
-        quad = QuadratureConfig()
     a, b = iv.a, iv.b
-    lhs_res = integrate(lambda t: np.asarray(g(t), dtype=float) * star_values(model, t),
-                        iv, quad, breakpoints=model.breakpoints)
+    lhs = integrate(lambda t: np.asarray(g(t), dtype=float) * star_values(model, t),
+                    iv, quad, breakpoints=model.breakpoints).checked_value()
     tail = integrate(lambda t: np.asarray(g_prime(t), dtype=float) * np.asarray(model.ln_f(t), dtype=float),
-                     iv, quad, breakpoints=model.breakpoints)
-    rhs = float(g(b)) * float(model.ln_f(b)) - float(g(a)) * float(model.ln_f(a)) - tail.value
-    return _report("parts", lhs_res.value, rhs, tolerance)
+                     iv, quad, breakpoints=model.breakpoints).checked_value()
+    rhs = float(g(b)) * float(model.ln_f(b)) - float(g(a)) * float(model.ln_f(a)) - tail
+    return _report("parts", lhs, rhs, tolerance)
 
 
 def substitution_identity(model, h, h_prime, g, g_prime, iv, quad=None,
@@ -125,8 +132,6 @@ def substitution_identity(model, h, h_prime, g, g_prime, iv, quad=None,
     form, it just will not be zero.  `breakpoints` are t-space knots for
     panel alignment when the caller knows them.
     """
-    if quad is None:
-        quad = QuadratureConfig()
     a, b = iv.a, iv.b
     probe = np.linspace(a, b, 65)
     h_vals = np.asarray(h(probe), dtype=float)
@@ -144,7 +149,7 @@ def substitution_identity(model, h, h_prime, g, g_prime, iv, quad=None,
     def tail_integrand(t):
         return np.asarray(g_prime(t), dtype=float) * np.asarray(model.ln_f(np.asarray(h(t), dtype=float)), dtype=float)
 
-    lhs_res = integrate(lhs_integrand, iv, quad, breakpoints=breakpoints)
-    tail = integrate(tail_integrand, iv, quad, breakpoints=breakpoints)
-    rhs = float(g(b)) * float(model.ln_f(b)) - float(g(a)) * float(model.ln_f(a)) - tail.value
-    return _report("substitution", lhs_res.value, rhs, tolerance)
+    lhs = integrate(lhs_integrand, iv, quad, breakpoints=breakpoints).checked_value()
+    tail = integrate(tail_integrand, iv, quad, breakpoints=breakpoints).checked_value()
+    rhs = float(g(b)) * float(model.ln_f(b)) - float(g(a)) * float(model.ln_f(a)) - tail
+    return _report("substitution", lhs, rhs, tolerance)

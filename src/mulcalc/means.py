@@ -13,7 +13,6 @@ from .bounds import BoundReport, midpoint_bound_geo
 from .errors import ConsistencyError
 from .functions import FamilySpec, make_model
 from .interval import Interval
-from .quadrature import QuadratureConfig
 
 
 @dataclasses.dataclass(frozen=True)
@@ -69,8 +68,6 @@ def prop41_check(mp, p, quad=None):
     p = float(p)
     if p < 2.0:
         raise ValueError("this check needs p >= 2, got p=%r" % (p,))
-    if quad is None:
-        quad = QuadratureConfig()
     lhs = arithmetic(mp) ** p - _pth_power_mean(mp, p)
     rhs = p * (mp.b - mp.a) * (mp.a ** (p - 1.0) + mp.b ** (p - 1.0)) / 8.0
 

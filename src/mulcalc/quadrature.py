@@ -88,6 +88,16 @@ class QuadratureResult:
     evaluations: int
     converged: bool
 
+    def checked_value(self):
+        """The value; NumericalFailure, carrying the estimate, when the
+        refinement budget ran out before the tolerance was met."""
+        if not self.converged:
+            raise NumericalFailure("quadrature did not converge within budget "
+                                   "(estimate %r, error estimate %r)"
+                                   % (self.value, self.error_estimate),
+                                   estimate=self.value, error_estimate=self.error_estimate)
+        return self.value
+
 
 @functools.lru_cache(maxsize=None)
 def _gl_rule(nodes):

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from mulcalc import (FamilySpec, GeneratorParams, HypothesisWarning, Interval,
-                     MBound, MBoundViolation, grid_sup_m_bound, hh_check,
+                     MBound, MBoundViolation, Probe, grid_sup_m_bound, hh_check,
                      make_model, midpoint_bound, midpoint_bound_M,
-                     midpoint_bound_geo, random_star_convex, star_endpoints,
-                     trapezoid_bound, trapezoid_bound_M, validate_m_bound)
+                     midpoint_bound_geo, random_star_convex, trapezoid_bound,
+                     trapezoid_bound_M, validate_m_bound)
 
 UNIT = Interval(0.0, 1.0)
 LN2 = math.log(2.0)
@@ -56,6 +56,13 @@ class TestHH:
         assert left.margin == pytest.approx(-1.0 / 12.0, abs=1e-10)
         assert right.margin == pytest.approx(-1.0 / 6.0, abs=1e-10)
         assert not left.holds and not right.holds
+
+    def test_log_affine_far_from_origin_does_not_warn(self):
+        iv = Interval(1e6 + 0.3, 1e6 + 1.0)
+        m = make_model(FamilySpec("exp_affine", (1.1, 0.2), iv))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", HypothesisWarning)
+            hh_check(m, iv)
 
 
 class TestMidpoint:
@@ -178,8 +185,7 @@ class TestModesAndValidation:
         assert list(d) == ["name", "mode", "lhs_log", "rhs_log", "margin", "holds"]
 
     def test_star_endpoints_square(self):
-        se = star_endpoints(sq_model(), UNIT)
-        assert (se.ls_a, se.ls_m, se.ls_b) == (0.0, 1.0, 2.0)
+        assert Probe(sq_model(), UNIT).star_ends == (0.0, 1.0, 2.0)
 
     def test_hypothesis_check_can_be_silenced(self):
         with warnings.catch_warnings():

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+import mulcalc.cli as cli
 from mulcalc.cli import (CSV_COLUMNS, QUAD_TOL_ENV, expression_fn,
                          family_from_args, main, numeric_derivative,
                          resolve_quad_config, trial_seed)
@@ -96,6 +97,46 @@ class TestVerify:
         assert "numerical failure" in err
 
 
+class TestParsing:
+    """argparse takes a separate token such as -9.0e-05 or -0.5,1 for a
+    flag; main glues it to the flag before it.  The parser is built once
+    per process."""
+
+    def check_same_as_joined(self, capsys, argv, flag):
+        code, out, err = run(capsys, argv)
+        i = argv.index(flag)
+        joined = argv[:i] + ["%s=%s" % (flag, argv[i + 1])] + argv[i + 2:]
+        code_joined, out_joined, _ = run(capsys, joined)
+        assert code != 2, err
+        assert (code, out) == (code_joined, out_joined)
+        return json_lines(out)
+
+    def test_exponent_value_as_own_token(self, capsys):
+        reps = self.check_same_as_joined(
+            capsys, ["verify", "--fn", "exp_affine", "--alpha", "-1.9", "--beta", "-9.0e-05",
+                     "--a", "1.4", "--b", "2.4", "--check", "hh"], "--beta")
+        assert [r["name"] for r in reps] == ["hh_left", "hh_right"]
+
+    def test_coefficient_list_as_own_token(self, capsys):
+        reps = self.check_same_as_joined(
+            capsys, ["verify", "--fn", "exp_poly", "--coeffs", "-0.5,1", "--a", "0", "--b", "1"],
+            "--coeffs")
+        assert len(reps) == 7
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        builds = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            for _ in range(2):
+                assert main(["means", "--prop", "42", "--a", "1", "--b", "2",
+                             "--variant", "corrected"]) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert builds == [1]
+
+
 class TestIdentity:
     def test_midpoint_square_exponent(self, capsys):
         code, out, _ = run(capsys, ["identity", "--identity", "midpoint"] + SQ)
@@ -125,6 +166,14 @@ class TestIdentity:
         code, _, err = run(capsys, ["identity", "--identity", "parts"] + SQ)
         assert code == 2
         assert "--g" in err
+
+    def test_quadrature_budget_miss_exits_3(self, capsys):
+        code, out, err = run(capsys, ["identity", "--identity", "parts", "--g", "t",
+                                      "--fn", "exp_power", "--p", "1.5", "--a", "0", "--b", "2",
+                                      "--quad-panels", "1", "--quad-max-subdivisions", "1"])
+        assert code == 3
+        assert out == ""
+        assert "numerical failure" in err
 
     def test_tolerance_flag_can_fail_the_check(self, capsys):
         code, out, _ = run(capsys, ["identity", "--identity", "midpoint",

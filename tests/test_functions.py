@@ -180,6 +180,13 @@ class TestConvexitySampler:
         m = make_model(FamilySpec("exp_poly", (0.0, 0.0, -1.0), UNIT))  # ln f = -t^2
         assert not is_mul_convex_sampled(m, UNIT)
 
+    def test_log_affine_far_from_origin(self):
+        # |ln f| ~ 1.1e6 here, so rounding alone exceeds an absolute 1e-12
+        iv = Interval(1e6 + 0.3, 1e6 + 1.0)
+        m = make_model(FamilySpec("exp_affine", (1.1, 0.2), iv))
+        assert is_mul_convex_sampled(m, iv, n_pairs=128, seed=0)
+        assert is_mul_convex_sampled(m, iv)
+
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**63 - 1),

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mulcalc import (DomainError, FamilySpec, GeneratorParams, Interval,
-                     QuadratureConfig, make_model, midpoint_identity,
-                     parts_identity, random_star_convex,
+                     NumericalFailure, QuadratureConfig, make_model,
+                     midpoint_identity, parts_identity, random_star_convex,
                      substitution_identity, trapezoid_identity)
 from mulcalc.core import FunctionModel
 
@@ -200,3 +200,34 @@ class TestKnobs:
             midpoint_identity(m, Interval(0.5, 1.5))
         with pytest.raises(DomainError):
             trapezoid_identity(m, Interval(-0.5, 0.5))
+
+
+class TestBudgetMiss:
+    """exp(t^1.5) from the origin on one panel, doubled once: ln f* =
+    1.5 sqrt(t) cannot converge, so the identities raise NumericalFailure
+    rather than report a residual."""
+
+    IV = Interval(0.0, 2.0)
+    STARVED = QuadratureConfig(panels=1, max_subdivisions=1)
+
+    def model(self):
+        return make_model(FamilySpec("exp_power", (1.5,), self.IV))
+
+    def test_parts_and_substitution_raise(self):
+        def ident(t):
+            return np.asarray(t, dtype=float)
+
+        def one(t):
+            return np.ones_like(np.asarray(t, dtype=float))
+
+        with pytest.raises(NumericalFailure) as exc:
+            parts_identity(self.model(), ident, one, self.IV, self.STARVED)
+        assert exc.value.estimate is not None
+        with pytest.raises(NumericalFailure):
+            substitution_identity(self.model(), ident, one, ident, one, self.IV, self.STARVED)
+
+    def test_trapezoid_chord_integral_raises(self):
+        # loose enough that the mean converges, not the chord integral
+        quad = QuadratureConfig(panels=1, max_subdivisions=1, abs_tol=1e-4, rel_tol=1e-4)
+        with pytest.raises(NumericalFailure):
+            trapezoid_identity(self.model(), self.IV, quad)
