@@ -173,9 +173,8 @@ def resolve_quad_config(args, cfg):
     if not isinstance(file_quad, dict):
         raise ValueError("config key 'quadrature' must be an object")
     merged.update(file_quad)
-    for flag, key in (("quad_method", "method"), ("quad_abs_tol", "abs_tol"),
-                      ("quad_rel_tol", "rel_tol"), ("quad_panels", "panels"),
-                      ("quad_max_subdivisions", "max_subdivisions")):
+    for flag, key in (("quad_abs_tol", "abs_tol"), ("quad_rel_tol", "rel_tol"),
+                      ("quad_panels", "panels"), ("quad_max_subdivisions", "max_subdivisions")):
         val = getattr(args, flag, None)
         if val is not None:
             merged[key] = val
@@ -251,9 +250,7 @@ def _emit(stream, text):
     stream.flush()
 
 
-def cmd_verify(args):
-    cfg = _load_config_file(args.config)
-    quad = resolve_quad_config(args, cfg)
+def cmd_verify(args, cfg, quad):
     mode = _resolve(args.mode, cfg, "mode", "strict")
     spec = family_from_args(args)
     m = None if args.m_log is None else MBound(m_log=args.m_log)
@@ -264,9 +261,7 @@ def cmd_verify(args):
     return 0 if all(r.holds for r in reports) else 1
 
 
-def cmd_identity(args):
-    cfg = _load_config_file(args.config)
-    quad = resolve_quad_config(args, cfg)
+def cmd_identity(args, cfg, quad):
     spec = family_from_args(args)
     model = make_model(spec)
     iv = spec.domain
@@ -294,9 +289,7 @@ def cmd_identity(args):
     return 0 if rep.holds else 1
 
 
-def cmd_means(args):
-    cfg = _load_config_file(args.config)
-    quad = resolve_quad_config(args, cfg)
+def cmd_means(args, cfg, quad):
     if args.a is None or args.b is None:
         raise ValueError("--a and --b are required")
     mp = MeanPair(args.a, args.b)
@@ -352,9 +345,7 @@ def _record_rows(record):
     return rows
 
 
-def cmd_scan(args):
-    cfg = _load_config_file(args.config)
-    quad = resolve_quad_config(args, cfg)
+def cmd_scan(args, cfg, quad):
     nonneg_raw = _resolve(args.nonneg_star, cfg, "nonneg_star", "true")
     run = RunConfig(
         quad=quad,
@@ -424,7 +415,6 @@ def cmd_scan(args):
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON settings file; flags override it")
-    common.add_argument("--quad-method", choices=["gauss_legendre_composite", "adaptive_simpson"])
     common.add_argument("--quad-abs-tol", type=float)
     common.add_argument("--quad-rel-tol", type=float)
     common.add_argument("--quad-panels", type=int)
@@ -496,11 +486,14 @@ def _parser():
 
 
 def _join_negative_values(argv):
-    """Glue a value such as -9.0e-05 or -0.5,1 to the flag before it:
-    argparse reads a separate token of that form as an unknown flag."""
+    """Glue a value such as -9.0e-05, -0.5,1 or -t to the flag before it:
+    argparse reads a separate token of that form as an unknown flag.  The
+    parser's only single-dash option is -h, so any other token with one
+    leading dash is a value."""
     out = []
     for token in argv:
-        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-[\d.]", token):
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and re.match(r"-(?!-)", token) and token != "-h"):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -515,7 +508,8 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.fn_cmd(args)
+        cfg = _load_config_file(args.config)
+        return args.fn_cmd(args, cfg, resolve_quad_config(args, cfg))
     except (NumericalFailure, ConsistencyError) as exc:
         print("numerical failure: %s" % exc, file=sys.stderr)
         return 3

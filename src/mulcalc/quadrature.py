@@ -1,29 +1,26 @@
-"""Numerical integration backends.
+"""Numerical integration.
 
 Everything here integrates ordinary real-valued functions; the log-domain
-bookkeeping lives in `core`.  Two methods are provided behind one config:
-
-* ``gauss_legendre_composite`` - fixed-node Gauss-Legendre panels laid over
-  the interval, refined by doubling the panel count until two successive
-  resolutions agree.  Panels are aligned to any supplied breakpoints, so
-  integrands that are piecewise-polynomial between their breakpoints come
-  out exact (up to rounding) at the very first resolution.
-* ``adaptive_simpson`` - the classic recursive Simpson scheme with the
-  Richardson |S2 - S1| / 15 acceptance test.
+bookkeeping lives in `core`.  One scheme does all of it: 5-node
+Gauss-Legendre panels, aligned to any supplied breakpoints, refined by
+bisecting only the panels whose error estimate is still too large (the
+QAG policy of QUADPACK, Piessens et al. 1983, on the Gauss-Legendre rule).
+Integrands that are piecewise-polynomial between their breakpoints come
+out exact (up to rounding) on the first panels; an endpoint singularity
+costs refinement near that endpoint only.
 
 A deliberately naive midpoint rule, `riemann_oracle`, is kept around as an
-independent cross-check for tests; it shares no code with the real methods.
+independent cross-check for tests; it shares no code with `integrate`.
 """
 
 import dataclasses
 import functools
-import math
 
 import numpy as np
 
 from .errors import NumericalFailure
 
-_METHODS = ("gauss_legendre_composite", "adaptive_simpson")
+_NODES = 5  # Gauss-Legendre nodes per panel: exact through degree 9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -32,21 +29,17 @@ class QuadratureConfig:
 
     abs_tol / rel_tol combine as max(abs_tol, rel_tol * |value|); the larger
     of the two is what convergence is measured against.  `panels` is the
-    starting panel count for the composite rule, `max_subdivisions` caps how
-    many times it may be doubled (and doubles as the recursion depth limit
-    for adaptive Simpson).
+    starting panel count, `max_subdivisions` the deepest a starting panel
+    may be bisected, so the finest panel is 2**max_subdivisions times
+    narrower than a starting one.
     """
 
-    method: str = "gauss_legendre_composite"
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_subdivisions: int = 12
     panels: int = 64
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError("unknown quadrature method %r (expected one of %s)"
-                             % (self.method, ", ".join(_METHODS)))
         if not (self.abs_tol > 0.0 and self.rel_tol >= 0.0):
             raise ValueError("tolerances must be positive, got abs_tol=%r rel_tol=%r"
                              % (self.abs_tol, self.rel_tol))
@@ -64,13 +57,7 @@ class QuadratureConfig:
         return max(self.abs_tol, self.rel_tol * abs(value))
 
     def to_dict(self):
-        return {
-            "method": self.method,
-            "abs_tol": self.abs_tol,
-            "rel_tol": self.rel_tol,
-            "max_subdivisions": self.max_subdivisions,
-            "panels": self.panels,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -120,16 +107,13 @@ def _panel_edges(interval, panels, breakpoints):
     return np.asarray(edges)
 
 
-def composite_gauss_legendre(g, interval, panels, nodes=5, breakpoints=()):
-    """Integral of g over the interval by `panels` Gauss-Legendre panels.
-
-    Returns (value, evaluations).  Raises NumericalFailure if g produces a
-    non-finite value anywhere on the node set.
-    """
+def _panel_values(g, lo, hi, nodes=_NODES):
+    """Gauss-Legendre estimate on each panel [lo[i], hi[i]], with g called
+    once on every node of every panel.  Raises NumericalFailure if g
+    produces a non-finite value anywhere on the node set."""
     x, w = _gl_rule(nodes)
-    edges = _panel_edges(interval, panels, breakpoints)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (hi + lo)
+    half = 0.5 * (hi - lo)
     # shape (n_panels, nodes): every evaluation point at once
     ts = mid[:, None] + half[:, None] * x[None, :]
     with np.errstate(all="ignore"):
@@ -137,73 +121,67 @@ def composite_gauss_legendre(g, interval, panels, nodes=5, breakpoints=()):
     if not np.all(np.isfinite(vals)):
         bad = ts.ravel()[~np.isfinite(vals.ravel())][0]
         raise NumericalFailure("integrand not finite at t=%r" % float(bad))
-    value = float(np.sum(half * (vals @ w)))
-    return value, ts.size
+    return half * (vals @ w)
 
 
-def _adaptive_simpson(g, a, fa, b, fb, m, fm, whole, tol, depth, counter):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = g(lm)
-    frm = g(rm)
-    counter[0] += 2
-    for t, v in ((lm, flm), (rm, frm)):
-        if not math.isfinite(v):
-            raise NumericalFailure("integrand not finite at t=%r" % float(t))
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0, abs(delta) / 15.0, depth > 0
-    lval, lerr, lok = _adaptive_simpson(g, a, fa, m, fm, lm, flm, left, 0.5 * tol, depth - 1, counter)
-    rval, rerr, rok = _adaptive_simpson(g, m, fm, b, fb, rm, frm, right, 0.5 * tol, depth - 1, counter)
-    return lval + rval, lerr + rerr, lok and rok
+def composite_gauss_legendre(g, interval, panels, nodes=_NODES, breakpoints=()):
+    """Integral of g over the interval by `panels` Gauss-Legendre panels.
+
+    Returns (value, evaluations).  Raises NumericalFailure if g produces a
+    non-finite value anywhere on the node set.
+    """
+    edges = _panel_edges(interval, panels, breakpoints)
+    values = _panel_values(g, edges[:-1], edges[1:], nodes)
+    return float(np.sum(values)), values.size * nodes
 
 
 def integrate(g, interval, config=None, breakpoints=()):
-    """Integrate g over the interval with the configured method.
+    """Integrate g over the interval by locally refined Gauss-Legendre panels.
 
-    g must accept a numpy array for the composite rule; the adaptive rule
-    calls it with scalars.  Returns a QuadratureResult; `converged` is False
-    when the refinement budget ran out before the tolerance was met.
+    g must accept a numpy array.  The first `config.panels` panels are
+    aligned to the breakpoints.  Each level bisects every active panel in
+    one call of g and takes |children - parent| as that panel's error; a
+    panel whose error is within its length's share of the tolerance is
+    retired, and the rest are bisected again, at most
+    `config.max_subdivisions` times.  The run stops once the summed error
+    of all panels meets `config.tolerance_for(value)`.  Returns a
+    QuadratureResult; on a budget miss it carries the finest estimate with
+    `converged` False.
     """
     if config is None:
         config = QuadratureConfig()
-    if config.method == "adaptive_simpson":
-        a, b = interval.a, interval.b
-        m = 0.5 * (a + b)
-        with np.errstate(all="ignore"):
-            fa, fm, fb = g(a), g(m), g(b)
-            for t, v in ((a, fa), (m, fm), (b, fb)):
-                if not math.isfinite(v):
-                    raise NumericalFailure("integrand not finite at t=%r" % float(t))
-            whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-            counter = [3]
-            tol = config.tolerance_for(whole)
-            value, err, ok = _adaptive_simpson(g, a, fa, b, fb, m, fm, whole, tol,
-                                               config.max_subdivisions, counter)
-        return QuadratureResult(value=float(value), error_estimate=float(err),
-                                evaluations=counter[0], converged=bool(ok))
-
-    panels = config.panels
-    prev, n_eval = composite_gauss_legendre(g, interval, panels, breakpoints=breakpoints)
-    total_eval = n_eval
-    err = math.inf
+    edges = _panel_edges(interval, config.panels, breakpoints)
+    lo, hi = edges[:-1], edges[1:]
+    coarse = _panel_values(g, lo, hi)
+    evaluations = _NODES * coarse.size
+    retired_value = retired_err = 0.0
     for _ in range(config.max_subdivisions):
-        panels *= 2
-        cur, n_eval = composite_gauss_legendre(g, interval, panels, breakpoints=breakpoints)
-        total_eval += n_eval
-        err = abs(cur - prev)
-        if err <= config.tolerance_for(cur):
-            return QuadratureResult(value=cur, error_estimate=err,
-                                    evaluations=total_eval, converged=True)
-        prev = cur
-    return QuadratureResult(value=prev, error_estimate=err,
-                            evaluations=total_eval, converged=False)
+        n, width = lo.size, hi - lo
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        halves = _panel_values(g, lo, hi)
+        evaluations += _NODES * halves.size
+        fine = halves[:n] + halves[n:]
+        err = np.abs(fine - coarse)
+        value = retired_value + float(np.sum(fine))
+        error_estimate = retired_err + float(np.sum(err))
+        tol = config.tolerance_for(value)
+        if error_estimate <= tol:
+            return QuadratureResult(value=value, error_estimate=error_estimate,
+                                    evaluations=evaluations, converged=True)
+        done = err <= tol * width / interval.length
+        if done.all():  # retired errors outgrew a shrinking tolerance
+            done[np.argmax(err)] = False
+        retired_value += float(np.sum(fine[done]))
+        retired_err += float(np.sum(err[done]))
+        split = np.tile(~done, 2)  # both halves of every panel still active
+        lo, hi, coarse = lo[split], hi[split], halves[split]
+    return QuadratureResult(value=value, error_estimate=error_estimate,
+                            evaluations=evaluations, converged=False)
 
 
 def riemann_oracle(g, interval, n=200_000):
-    """Plain midpoint-rule estimate, kept independent of the real methods.
+    """Plain midpoint-rule estimate, kept independent of `integrate`.
 
     Written in mean form (length times the average sample) so constants
     integrate exactly regardless of n.

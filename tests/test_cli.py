@@ -9,6 +9,7 @@ import math
 import pytest
 
 import mulcalc.cli as cli
+from mulcalc import QuadratureConfig
 from mulcalc.cli import (CSV_COLUMNS, QUAD_TOL_ENV, expression_fn,
                          family_from_args, main, numeric_derivative,
                          resolve_quad_config, trial_seed)
@@ -98,7 +99,7 @@ class TestVerify:
 
 
 class TestParsing:
-    """argparse takes a separate token such as -9.0e-05 or -0.5,1 for a
+    """argparse takes a separate token such as -9.0e-05, -0.5,1 or -t for a
     flag; main glues it to the flag before it.  The parser is built once
     per process."""
 
@@ -122,6 +123,22 @@ class TestParsing:
             capsys, ["verify", "--fn", "exp_poly", "--coeffs", "-0.5,1", "--a", "0", "--b", "1"],
             "--coeffs")
         assert len(reps) == 7
+
+    def test_expression_values_as_own_tokens(self, capsys):
+        (rep,) = self.check_same_as_joined(
+            capsys, ["identity", "--identity", "parts", "--g", "-t"] + SQ, "--g")
+        assert rep["holds"] is True
+        argv = ["identity", "--identity", "substitution", "--g", "t", "--h", "-t+1"] + SQ
+        (rep,) = self.check_same_as_joined(capsys, argv, "--h")
+        assert rep["identity"] == "substitution"
+
+    def test_help_and_switches_not_glued(self, capsys):
+        code, out, _ = run(capsys, ["scan", "--timing", "-h"])
+        assert code == 0 and "--replay" in out
+        code, out, _ = run(capsys, ["identity", "--g", "--help"])
+        assert code == 2 and out == ""
+        code, _, err = run(capsys, ["scan", "--trials", "0", "--seed", "1", "--timing"])
+        assert code == 0 and "wall_time_ms" in err
 
     def test_parser_built_once(self, capsys, monkeypatch):
         builds = []
@@ -245,6 +262,16 @@ class TestUsageErrors:
         assert run(capsys, ["verify", "--config", str(tmp_path / "nope.json"),
                             "--check", "midpoint"] + SQ)[0] == 2
 
+    def test_quad_method_removed(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["verify", "--quad-method", "adaptive_simpson"] + SQ)
+        assert code == 2 and out == ""
+        assert "--quad-method" in err
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"quadrature": {"method": "adaptive_simpson"}}))
+        code, out, err = run(capsys, ["verify", "--config", str(path)] + SQ)
+        assert code == 2 and out == ""
+        assert "unknown quadrature config keys: method" in err
+
     def test_no_subcommand(self, capsys):
         assert main([]) == 2
 
@@ -255,7 +282,7 @@ class TestUsageErrors:
 
 class TestSettingsPrecedence:
     def args(self, **kw):
-        base = dict(quad_method=None, quad_abs_tol=None, quad_rel_tol=None,
+        base = dict(quad_abs_tol=None, quad_rel_tol=None,
                     quad_panels=None, quad_max_subdivisions=None)
         base.update(kw)
         return argparse.Namespace(**base)
@@ -264,8 +291,7 @@ class TestSettingsPrecedence:
         monkeypatch.delenv(QUAD_TOL_ENV, raising=False)
         quad = resolve_quad_config(self.args(), {})
         assert quad.abs_tol == 1e-10 and quad.rel_tol == 1e-10
-        assert quad.method == "gauss_legendre_composite"
-        assert quad.panels == 64
+        assert quad == QuadratureConfig()
 
     def test_env_sets_both_tolerances(self, monkeypatch):
         monkeypatch.setenv(QUAD_TOL_ENV, "1e-8")

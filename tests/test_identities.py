@@ -1,5 +1,7 @@
 """Integral identity checks: exact fixtures, generated corpus, FD fallback."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -189,10 +191,13 @@ class TestKnobs:
 
     def test_quad_config_respected(self):
         m = make_model(FamilySpec("exp_recip", (), Interval(1.0, 2.0)))
-        rep = midpoint_identity(m, Interval(1.0, 2.0),
-                                quad=QuadratureConfig(method="adaptive_simpson",
-                                                      abs_tol=1e-11, rel_tol=1e-11))
-        assert rep.residual <= 1e-9
+        quad = QuadratureConfig(panels=1, max_subdivisions=30, abs_tol=1e-11, rel_tol=1e-11)
+        rep = midpoint_identity(m, Interval(1.0, 2.0), quad=quad)
+        assert rep.residual <= 1e-12
+        # the same tolerance with one bisection allowed cannot be met
+        with pytest.raises(NumericalFailure):
+            midpoint_identity(m, Interval(1.0, 2.0),
+                              quad=dataclasses.replace(quad, max_subdivisions=1))
 
     def test_interval_outside_domain(self):
         m = make_model(FamilySpec("exp_power", (2.0,), UNIT))

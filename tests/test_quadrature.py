@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mulcalc import (Interval, NumericalFailure, QuadratureConfig,
-                     composite_gauss_legendre, integrate, riemann_oracle)
+from mulcalc import (FamilySpec, Interval, NumericalFailure, QuadratureConfig,
+                     composite_gauss_legendre, integrate, make_model, riemann_oracle,
+                     star_values)
 
 UNIT = Interval(0.0, 1.0)
 ONE_TWO = Interval(1.0, 2.0)
@@ -45,11 +46,11 @@ class TestIntegrate:
         assert res.converged
         assert abs(res.value - math.log(2.0)) <= 1e-10
 
-    def test_adaptive_simpson_reciprocal(self):
-        cfg = QuadratureConfig(method="adaptive_simpson", max_subdivisions=30)
+    def test_reciprocal_refined_from_one_panel(self):
+        cfg = QuadratureConfig(panels=1, max_subdivisions=30)
         res = integrate(lambda t: 1.0 / t, ONE_TWO, cfg)
         assert res.converged
-        assert abs(res.value - math.log(2.0)) <= 1e-9
+        assert abs(res.value - math.log(2.0)) <= cfg.tolerance_for(res.value)
 
     def test_converged_result_meets_tolerance(self):
         cfg = QuadratureConfig()
@@ -90,10 +91,12 @@ class TestIntegrate:
             integrate(lambda t: np.sqrt(t - 0.5), UNIT)
 
     def test_non_finite_raises_adaptive(self):
-        cfg = QuadratureConfig(method="adaptive_simpson")
+        # finite on the one starting panel's nodes; the pole sits on the
+        # centre node of a bisected panel, so only refinement finds it
+        with pytest.raises(NumericalFailure, match="t=0.25"):
+            integrate(lambda t: 1.0 / (t - 0.25), UNIT, QuadratureConfig(panels=1))
         with pytest.raises(NumericalFailure):
-            integrate(lambda t: np.log(np.asarray(t, dtype=float)),
-                      Interval(-1.0, 1.0), cfg)
+            integrate(lambda t: np.log(t), Interval(-1.0, 1.0))
 
     def test_breakpoint_alignment_makes_kinks_exact(self):
         # integral of max(0, t - 1/3) on [0, 1] = (2/3)^2 / 2
@@ -103,6 +106,36 @@ class TestIntegrate:
         assert abs(aligned - exact) <= 1e-15
         unaligned, _ = composite_gauss_legendre(g, UNIT, panels=4)
         assert abs(unaligned - exact) > 1e-9
+
+
+def test_endpoint_singularity_refines_locally():
+    """The trapezoid identity's chord integral for exp(t^1.5) on [0, 2]:
+    ln f* = 1.5 sqrt(t) has a square-root singularity at the origin, and
+    refining only the panels next to it keeps the cost low."""
+    model = make_model(FamilySpec("exp_power", (1.5,), Interval(0.0, 2.0)))
+    res = integrate(lambda t: (2.0 * t - 1.0) * star_values(model, 2.0 * t), UNIT)
+    assert res.converged
+    assert res.evaluations <= 5000
+    assert abs(res.value - 1.5 * math.sqrt(2.0) * (4.0 / 5.0 - 2.0 / 3.0)) <= 1e-10
+
+
+@pytest.mark.parametrize("g, mp_g, iv, breakpoints", [
+    (np.sqrt, lambda mp, t: mp.sqrt(t), UNIT, ()),
+    # the segment [0, 0.005] is narrower than half a starting panel
+    (np.sqrt, lambda mp, t: mp.sqrt(t), UNIT, (0.005,)),
+    (lambda t: np.abs(t - 1.0 / 3.0), lambda mp, t: abs(t - mp.mpf(1) / 3), UNIT, (1.0 / 3.0,)),
+    (lambda t: np.abs(t - 1.0 / 3.0), lambda mp, t: abs(t - mp.mpf(1) / 3), UNIT, ()),
+    (lambda t: np.sin(20.0 * t) * np.exp(t), lambda mp, t: mp.sin(20 * t) * mp.exp(t),
+     Interval(0.0, 3.0), ()),
+], ids=["sqrt_endpoint", "sqrt_narrow_segment", "aligned_kink", "unaligned_kink", "oscillatory"])
+def test_agrees_with_mpmath(g, mp_g, iv, breakpoints):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        # split the reference at 1/3, the kink, where tanh-sinh needs it
+        exact = mpmath.quad(lambda t: mp_g(mpmath, t), [iv.a, mpmath.mpf(1) / 3, iv.b])
+    res = integrate(g, iv, breakpoints=breakpoints)
+    assert res.converged
+    assert abs(res.value - float(exact)) <= max(res.error_estimate, 1e-10)
 
 
 def test_convergence_order_five_node_rule():
@@ -120,22 +153,25 @@ def test_convergence_order_five_node_rule():
 class TestConfig:
     def test_defaults(self):
         cfg = QuadratureConfig()
-        assert cfg.method == "gauss_legendre_composite"
+        assert cfg.to_dict() == {"abs_tol": 1e-10, "rel_tol": 1e-10,
+                                 "max_subdivisions": 12, "panels": 64}
         assert cfg.abs_tol == 1e-10 and cfg.rel_tol == 1e-10
         assert cfg.panels == 64 and cfg.max_subdivisions == 12
 
     def test_round_trip(self):
-        cfg = QuadratureConfig(method="adaptive_simpson", abs_tol=1e-8,
-                               rel_tol=1e-9, max_subdivisions=20, panels=32)
+        cfg = QuadratureConfig(abs_tol=1e-8, rel_tol=1e-9, max_subdivisions=20, panels=32)
         assert QuadratureConfig.from_dict(cfg.to_dict()) == cfg
+        assert QuadratureConfig.from_dict(cfg.to_dict()) != QuadratureConfig()
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             QuadratureConfig.from_dict({"abs_tol": 1e-9, "nodes": 7})
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError):
-            QuadratureConfig(method="romberg")
+        with pytest.raises(TypeError):
+            QuadratureConfig(method="gauss_legendre_composite")
+        with pytest.raises(ValueError, match="unknown quadrature config keys: method"):
+            QuadratureConfig.from_dict({"method": "romberg"})
         with pytest.raises(ValueError):
             QuadratureConfig(abs_tol=0.0)
         with pytest.raises(ValueError):
